@@ -499,15 +499,19 @@ Response decode_response(std::string_view payload) {
   return response;
 }
 
-std::string frame(std::string_view payload) {
+void append_frame(std::string& out, std::string_view payload) {
   if (payload.empty() || payload.size() > kMaxFrameBytes) {
     throw ProtocolError("frame payload size out of range: " +
                         std::to_string(payload.size()));
   }
-  std::string out;
-  out.reserve(4 + payload.size());
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
   out += payload;
+}
+
+std::string frame(std::string_view payload) {
+  std::string out;
+  out.reserve(4 + payload.size());
+  append_frame(out, payload);
   return out;
 }
 

@@ -249,6 +249,9 @@ Response decode_response(std::string_view payload);
 /// Prepends the 4-byte length prefix. Throws ProtocolError when the
 /// payload is empty or exceeds kMaxFrameBytes.
 std::string frame(std::string_view payload);
+/// Appends frame(payload) to `out` (same checks; `out` unchanged on
+/// a throw).
+void append_frame(std::string& out, std::string_view payload);
 
 /// Appends the framed encoding of `response` directly to `out` —
 /// the serving hot path's zero-temporary variant of

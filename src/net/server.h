@@ -1,41 +1,35 @@
 // Multi-reactor epoll reward-service daemon core.
 //
 // One Server hosts N campaigns behind `config.reactors` shared-nothing
-// reactor threads. Every reactor owns its own SO_REUSEPORT listening
-// socket, epoll loop, sessions and counters; the kernel spreads
-// incoming connections across the reactors. Campaigns are statically
-// partitioned: campaign c is owned by reactor (c mod reactors), and all
-// of c's events and queries are applied by that reactor — the hot loop
-// never shares mechanism state. A request arriving on a session of a
-// *different* reactor is forwarded to the owner over a lock-free SPSC
-// ring (one ring per ordered reactor pair; see net/spsc_ring.h) and its
-// response travels back the same way; a per-session sequence number
-// reorders cross-reactor responses so one connection always sees its
-// answers in request order, exactly as the single-loop server did.
+// reactors. Each reactor is a net::SessionLoop (net/session_loop.h)
+// with its own SO_REUSEPORT listener, sessions and counters; the
+// session mechanics — in-order response sequencing, slow-reader
+// backpressure, idle timeouts and the graceful drain — are described
+// once, in docs/architecture.md ("Session core").
+//
+// Campaigns are statically partitioned: campaign c is owned by reactor
+// (c mod reactors), and all of c's events and queries are applied by
+// that reactor — the hot loop never shares mechanism state. A request
+// arriving on a session of a *different* reactor is forwarded to the
+// owner over a lock-free SPSC ring (one ring per ordered reactor pair;
+// see net/spsc_ring.h) and its response travels back the same way; the
+// session sequencer releases it in request order.
 //
 // Within a reactor each tick decodes everything its readable sessions
 // produced, groups requests by campaign (dirty-set batching per
-// campaign, EVENT_BATCH frames applied in one pass), group-commits the
-// storage engine *before* any response is flushed (ack-after-durable),
-// and gathers queued response chunks into vectored sendmsg calls.
-// Campaigns are disjoint state and within a campaign arrival order is
-// preserved, so with one connection per campaign the whole deployment
-// is bit-deterministic at any reactor or thread count — which the
-// loopback tests and bench_e14 assert.
+// campaign, EVENT_BATCH frames applied in one pass) and group-commits
+// the storage engine *before* any response is flushed
+// (ack-after-durable). Campaigns are disjoint state and within a
+// campaign arrival order is preserved, so with one connection per
+// campaign the whole deployment is bit-deterministic at any reactor or
+// thread count — which the loopback tests and bench_e14 assert.
 //
-// Robustness guarantees (exercised by tests/net_test.cpp):
-//   * malformed payloads get an error frame; the session stays open
-//   * an impossible length prefix gets one error frame, then the
-//     session closes (the byte stream can no longer be trusted)
-//   * mid-frame disconnects discard the partial frame only — an
-//     EVENT_BATCH frame is all-or-nothing at the framing layer
-//   * slow readers are backpressured: past `max_write_buffer` pending
-//     bytes the server stops reading that session until the peer drains
-//   * idle sessions are closed after `idle_timeout_seconds`
-//   * request_shutdown() (async-signal-safe) stops accepting on every
-//     reactor, settles in-flight cross-reactor traffic, flushes every
-//     pending response, optionally persists the per-campaign event
-//     logs, and returns from run()
+// Malformed payloads get an error frame and the session stays open; an
+// impossible length prefix gets one error frame, then the session
+// closes; a mid-frame disconnect discards the partial frame only (an
+// EVENT_BATCH frame is all-or-nothing). request_shutdown() is
+// async-signal-safe and drains every reactor, settling in-flight
+// cross-reactor traffic before run() returns (tests/net_test.cpp).
 #pragma once
 
 #include <atomic>
@@ -112,9 +106,6 @@ struct ServerConfig {
   /// stops reading from that session (slow-reader backpressure) until
   /// the buffer drains below half the mark.
   std::size_t max_write_buffer = 4u << 20;
-  /// When non-empty: on shutdown each campaign's event log is saved to
-  /// `<persist_dir>/campaign_<i>.log`.
-  std::string persist_dir;
   /// Whether a SHUTDOWN frame drains the server (a private deployment
   /// convenience; disable when clients are untrusted).
   bool allow_remote_shutdown = true;
@@ -240,8 +231,6 @@ class Server {
   /// Builds the SERVER_STATS response body from the live counters.
   ServerStatsBody live_server_stats() const;
 
-  void persist_logs() const;
-
   ServerConfig config_;
   std::uint16_t port_ = 0;
   const Mechanism* mechanism_ = nullptr;
@@ -254,7 +243,6 @@ class Server {
   std::unique_ptr<storage::Storage> storage_;  ///< null when in-memory
 
   std::vector<std::unique_ptr<Reactor>> reactors_;
-  std::atomic<bool> drain_requested_{false};
   /// SERVER_STATS poll counter (ServerStatsBody::stats_seq); mutable
   /// because serving a read-only stats body bumps it.
   mutable std::atomic<std::uint64_t> stats_seq_{0};

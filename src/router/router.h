@@ -12,17 +12,16 @@
 // routes to the same shard that issued it (same campaign, same modulo),
 // so read-your-writes survives the indirection (docs/sharding.md).
 //
-// Topology per reactor (shared-nothing, like net/server.h):
-//   * its own SO_REUSEPORT listener + epoll loop + client sessions
-//   * one pooled, pipelined backend connection per shard. Workers
-//     answer strictly in request order per connection, so a FIFO of
-//     pending descriptors per backend maps each backend response back
-//     to its (session, request seq) without response ids on the wire.
-//   * the PR 6 per-session sequencer: requests take a per-session
-//     sequence at decode; responses — which complete out of order when
-//     one connection's requests fan out across shards — are released to
-//     the wire strictly in request order, out-of-order completions
-//     parked in a held map.
+// Topology per reactor (shared-nothing, like net/server.h): each
+// reactor is a net::SessionLoop — its own SO_REUSEPORT listener, epoll
+// loop and client sessions, with the in-order response sequencer,
+// backpressure and drain described in docs/architecture.md ("Session
+// core") — plus one pooled, pipelined backend connection per shard.
+// Workers answer strictly in request order per connection, so a FIFO
+// of pending descriptors per backend maps each backend response back to
+// its (session, request seq) without response ids on the wire.
+// Responses complete out of order when one connection's requests fan
+// out across shards; the session sequencer releases them in order.
 //
 // Frames the router answers itself:
 //   * SHARD_MAP  — the campaign -> shard map + per-shard endpoint,
@@ -52,6 +51,8 @@
 #include <string>
 #include <vector>
 
+#include <netinet/in.h>
+
 #include "net/protocol.h"
 
 namespace itree::router {
@@ -75,7 +76,7 @@ struct RouterConfig {
   /// Sessions with no traffic for this long are closed; 0 disables.
   double idle_timeout_seconds = 0.0;
   /// Per-session write-buffer high-water mark (slow-reader
-  /// backpressure, as in net/server.h).
+  /// backpressure; docs/architecture.md).
   std::size_t max_write_buffer = 4u << 20;
   /// Per-backend outbound high-water mark: past it the reactor stops
   /// reading from every client session until the worker drains (coarse
@@ -116,7 +117,7 @@ class Router {
   /// port() is valid before run()). Backend connections are dialled
   /// asynchronously once run() starts. Throws std::runtime_error on
   /// socket/epoll setup failure, std::invalid_argument on a bad
-  /// config (no shards, unparseable endpoint).
+  /// config (no shards, an endpoint that is not IPv4-address:port).
   explicit Router(RouterConfig config);
   ~Router();
 
@@ -154,11 +155,11 @@ class Router {
 
   RouterConfig config_;
   std::uint16_t port_ = 0;
-  /// Parsed config_.shards, resolved once at startup.
-  std::vector<std::pair<std::string, std::uint16_t>> shard_endpoints_;
+  /// config_.shards resolved once, at construction; every dial uses
+  /// these.
+  std::vector<sockaddr_in> shard_addrs_;
   std::function<std::uint64_t(std::uint32_t)> restart_counter_;
   std::vector<std::unique_ptr<RouterReactor>> reactors_;
-  std::atomic<bool> drain_requested_{false};
   /// stats_seq of the router's own aggregated SERVER_STATS bodies.
   std::atomic<std::uint64_t> stats_seq_{0};
 };

@@ -40,8 +40,11 @@ const Tree& RewardService::tree() const {
 }
 
 NodeId RewardService::apply(const JoinEvent& event) {
-  require(event.initial_contribution >= 0.0,
-          "RewardService: initial contribution must be >= 0");
+  // isfinite first: +inf passes `>= 0` and would poison every reward
+  // and audit of the campaign (and, through the WAL, every replica).
+  require(std::isfinite(event.initial_contribution) &&
+              event.initial_contribution >= 0.0,
+          "RewardService: initial contribution must be finite and >= 0");
   // Counter and cache state change only after the event validated and
   // applied: a rejected event must leave the service untouched.
   NodeId id = kInvalidNode;
@@ -64,7 +67,8 @@ NodeId RewardService::apply(const JoinEvent& event) {
 }
 
 void RewardService::apply(const ContributeEvent& event) {
-  require(event.amount >= 0.0, "RewardService: amount must be >= 0");
+  require(std::isfinite(event.amount) && event.amount >= 0.0,
+          "RewardService: amount must be finite and >= 0");
   switch (mode_) {
     case Mode::kAggregate:
       aggregate_state_->add_contribution(event.participant, event.amount);

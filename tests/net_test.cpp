@@ -1,12 +1,12 @@
 // Integration tests for the reward-service daemon: protocol codecs,
 // loopback equivalence with the in-process service, and the robustness
 // guarantees (malformed frames, mid-frame disconnects, backpressure,
-// idle timeouts, graceful drain, persistence).
+// idle timeouts, graceful drain, non-finite amounts).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
+#include <limits>
 #include <span>
 #include <thread>
 #include <vector>
@@ -490,42 +490,6 @@ TEST_F(NetTest, ShutdownFrameDrainsTheServer) {
   EXPECT_EQ(server_->campaign(0).service().events_applied(), 1u);
 }
 
-TEST_F(NetTest, PersistsEventLogsOnShutdown) {
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / "itree_net_persist_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-
-  const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
-  ServerConfig config;
-  config.campaigns = 2;
-  config.persist_dir = dir.string();
-  start(*mechanism, config);
-  {
-    Client client = connect();
-    drive_workload(7, 60, [&](NodeId node, double amount, bool is_join) {
-      if (is_join) {
-        client.join(1, node, amount);
-      } else {
-        client.contribute(1, node, amount);
-      }
-    });
-  }
-  stop();
-
-  // The saved log replays to the exact server-side deployment.
-  const EventLog log = EventLog::load((dir / "campaign_1.log").string());
-  const RewardService replayed = log.replay(*mechanism);
-  const RewardService& live = server_->campaign(1).service();
-  ASSERT_EQ(replayed.tree().node_count(), live.tree().node_count());
-  for (NodeId u = 1; u < replayed.tree().node_count(); ++u) {
-    EXPECT_EQ(replayed.reward(u), live.reward(u));
-  }
-  EXPECT_EQ(EventLog::load((dir / "campaign_0.log").string()).size(), 0u);
-  fs::remove_all(dir);
-}
-
 // --- EVENT_BATCH semantics ------------------------------------------
 
 TEST_F(NetTest, EventBatchAppliesThePrefixUpToTheFirstRejection) {
@@ -558,6 +522,41 @@ TEST_F(NetTest, EventBatchAppliesThePrefixUpToTheFirstRejection) {
   EXPECT_TRUE(more.complete());
   ASSERT_EQ(more.results.size(), 1u);
   EXPECT_EQ(more.results[0], 3u);
+}
+
+TEST_F(NetTest, NonFiniteAmountsAreRejectedWithoutSideEffects) {
+  const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
+  start(*mechanism);
+  Client client = connect();
+  const double inf = std::numeric_limits<double>::infinity();
+  RecordingService reference(*mechanism);
+  ASSERT_EQ(client.join(0, kRoot, 1.0), reference.join(kRoot, 1.0));
+
+  try {
+    client.join(0, kRoot, inf);
+    FAIL() << "expected kRejected";
+  } catch (const ServiceError& error) {
+    EXPECT_EQ(error.code, ErrorCode::kRejected);
+  }
+  // inf mid-batch: only the prefix before it applies.
+  const std::vector<BatchEvent> batch = {
+      {BatchEvent::kContribute, 1, 0.5},
+      {BatchEvent::kContribute, 1, inf},
+      {BatchEvent::kJoin, kRoot, 1.0},
+  };
+  const BatchResult result = client.send_events(0, batch);
+  ASSERT_EQ(result.results.size(), 1u);
+  EXPECT_EQ(result.error, ErrorCode::kRejected);
+  reference.contribute(1, 0.5);
+
+  // STATS and AUDIT are exactly those of the valid events alone.
+  const StatsBody stats = client.stats(0);
+  EXPECT_EQ(stats.events, reference.service().events_applied());
+  EXPECT_EQ(stats.participants,
+            reference.service().tree().participant_count());
+  EXPECT_EQ(stats.total_reward, reference.service().total_reward());
+  EXPECT_EQ(client.audit(0), reference.service().audit());
+  EXPECT_EQ(client.reward(0, 1), reference.service().reward(1));
 }
 
 TEST_F(NetTest, EventBatchMatchesPerFrameBitForBit) {

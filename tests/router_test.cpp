@@ -5,7 +5,8 @@
 // single-process server — plus worker kill/restart with WAL recovery,
 // kShardDown fail-fast, NOT_PRIMARY and error-frame pass-through,
 // SHARD_MAP, aggregated SERVER_STATS with stats_seq restart detection,
-// and replication-frame rejection.
+// replication-frame rejection, the shared session paths (pipelined
+// backpressure, idle timeout) and shard-endpoint validation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -117,14 +118,16 @@ class RouterTest : public ::testing::Test {
     return *workers_[shard];
   }
 
+  /// `config` carries router knobs (buffer marks, idle timeout); its
+  /// campaigns, shards and reactors are filled in here.
   void start_fleet(MechanismKind kind, std::size_t shards, bool durable,
-                   std::size_t router_reactors = 1) {
+                   std::size_t router_reactors = 1,
+                   RouterConfig config = {}) {
     kind_ = kind;
     mechanism_ = make_default(kind);
     for (std::size_t shard = 0; shard < shards; ++shard) {
       start_worker(shard, durable);
     }
-    RouterConfig config;
     config.campaigns = kCampaigns;
     for (const auto& worker : workers_) {
       config.shards.push_back("127.0.0.1:" +
@@ -418,6 +421,74 @@ TEST_F(RouterTest, MalformedFramesGetErrorsWithoutKillingTheSession) {
   EXPECT_GT(client.join(0, kRoot, 1.0), 0u);
 }
 
+TEST_F(RouterTest, PipelinedRequestsUnderBackpressureStayOrdered) {
+  // Batches and full-vector queries for two campaigns on two shards,
+  // pipelined without reading against a low session write-buffer mark:
+  // the session must pause, resume once the client drains, and release
+  // every answer in request order although the two shards race.
+  RouterConfig config;
+  config.max_write_buffer = 64 * 1024;
+  start_fleet(MechanismKind::kGeometric, 2, /*durable=*/false, 1, config);
+  Client client = connect();
+
+  // Wide campaigns so every REWARDS_BATCH response is ~16 KB.
+  const std::vector<net::BatchEvent> seed(
+      2000, {net::BatchEvent::kJoin, kRoot, 1.0});
+  ASSERT_TRUE(client.send_events(0, seed).complete());
+  ASSERT_TRUE(client.send_events(1, seed).complete());
+
+  Request bump;
+  bump.type = MsgType::kEventBatch;
+  bump.batch = {{net::BatchEvent::kContribute, 1, 0.5},
+                {net::BatchEvent::kContribute, 1, 0.25}};
+  constexpr int kRounds = 100;
+  for (int i = 0; i < kRounds; ++i) {
+    for (std::uint32_t c = 0; c < 2; ++c) {
+      bump.campaign = c;
+      client.send_request(bump);
+    }
+    for (std::uint32_t c = 0; c < 2; ++c) {
+      client.send_request({MsgType::kRewardsBatch, c, 0, 0.0});
+    }
+  }
+  double last_reward[2] = {0.0, 0.0};
+  for (int i = 0; i < kRounds; ++i) {
+    for (int c = 0; c < 2; ++c) {
+      const net::Response ack = client.read_response();
+      ASSERT_EQ(ack.status, net::Status::kOkBatch);
+      EXPECT_EQ(ack.batch_results, std::vector<std::uint64_t>({0, 0}));
+    }
+    for (int c = 0; c < 2; ++c) {
+      const net::Response vector = client.read_response();
+      ASSERT_EQ(vector.status, net::Status::kOkVector);
+      ASSERT_EQ(vector.rewards.size(), 2001u);
+      // Strictly monotone per campaign in pipeline order: no
+      // reordering, no skipped flush.
+      EXPECT_GT(vector.rewards[1], last_reward[c]) << "campaign " << c;
+      last_reward[c] = vector.rewards[1];
+    }
+  }
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(client.stats(c).events,
+              2000u + 2u * static_cast<std::uint64_t>(kRounds));
+  }
+  router_->request_shutdown();
+  router_thread_.join();
+  EXPECT_GT(router_->counters().backpressure_stalls, 0u)
+      << "the test must actually exercise the pause/resume path";
+}
+
+TEST_F(RouterTest, IdleSessionsAreClosed) {
+  RouterConfig config;
+  config.idle_timeout_seconds = 0.2;
+  start_fleet(MechanismKind::kGeometric, 1, /*durable=*/false, 1, config);
+  Client client = connect();
+  EXPECT_EQ(client.join(0, kRoot, 1.0), 1u);
+  // No traffic: the router must hang up on us within a few sweeps.
+  EXPECT_THROW(client.read_response(), std::runtime_error);
+  EXPECT_GE(router_->counters().sessions_timed_out, 1u);
+}
+
 TEST_F(RouterTest, RemoteShutdownDrainsTheRouter) {
   start_fleet(MechanismKind::kGeometric, 2, /*durable=*/false);
   {
@@ -427,6 +498,23 @@ TEST_F(RouterTest, RemoteShutdownDrainsTheRouter) {
   }
   router_thread_.join();
   router_.reset();
+}
+
+TEST(RouterConfigValidation, ShardEndpointsResolveAtConstruction) {
+  RouterConfig config;
+  config.shards = {"localhost:7000"};  // a name, not an IPv4 address
+  try {
+    Router router(config);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("localhost:7000"),
+              std::string::npos)
+        << error.what();
+  }
+  config.shards = {"127.0.0.1:7000", "10.0.0.300:7001"};
+  EXPECT_THROW(Router{config}, std::invalid_argument);
+  config.shards = {"127.0.0.1:0"};
+  EXPECT_THROW(Router{config}, std::invalid_argument);
 }
 
 /// A raw single-connection fake worker answering every frame with one
