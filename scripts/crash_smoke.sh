@@ -25,6 +25,11 @@
 # recovers bit-for-bit — including a cross-generation bootstrap, since
 # the daemon starts from variant 3's v5 image before draining to v4.
 #
+# Variant 5 — batched frames under SIGKILL: variant 1 over a
+# 2-reactor daemon fed 64-event EVENT_BATCH frames, 4 in flight per
+# connection, so each frame's WAL append (one lock round, the applied
+# prefix logged with contiguous seqs) is what the kill interrupts.
+#
 # Usage: scripts/crash_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
 
@@ -117,4 +122,18 @@ fi
 grep '^campaign ' "$WORK/recover_v4.log" | sort > "$WORK/post_drain_v4.txt"
 diff -u "$WORK/pre_drain_v4.txt" "$WORK/post_drain_v4.txt"
 echo "-- v4 image adoption reproduces the replayed state bit-for-bit"
+
+echo "== variant 5: batched, pipelined frames survive SIGKILL bit-for-bit =="
+rm -rf "$WORK/data"
+start_daemon --reactors 2 --fsync always
+"$LOADGEN" --port "$PORT" --connections 3 --campaigns 3 \
+    --requests 2000 --batch 64 --pipeline 4 --check \
+    | tee "$WORK/loadgen5.log"
+kill -KILL "$PID"
+wait "$PID" 2>/dev/null || true
+grep '^campaign ' "$WORK/loadgen5.log" | sort > "$WORK/expected5.txt"
+"$ITREE" recover "$WORK/data" | tee "$WORK/recover5.log"
+grep '^campaign ' "$WORK/recover5.log" | sort > "$WORK/actual5.txt"
+diff -u "$WORK/expected5.txt" "$WORK/actual5.txt"
+echo "-- recovered state identical to the acknowledged batched state"
 echo "crash smoke passed"

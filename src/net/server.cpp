@@ -746,28 +746,46 @@ Response Server::apply_request(const Request& request) {
         response.status = Status::kOkBatch;
         response.batch_count =
             static_cast<std::uint32_t>(request.batch.size());
-        response.batch_results.reserve(request.batch.size());
+        // An out-of-range node id ends the frame like a rejection.
+        std::vector<Event> events;
+        events.reserve(request.batch.size());
+        std::string rejection;  // the service's, when it stops the frame
         for (const BatchEvent& event : request.batch) {
-          try {
-            if (event.node > std::numeric_limits<NodeId>::max()) {
-              throw std::invalid_argument("node id out of range");
-            }
-            const NodeId batch_node = static_cast<NodeId>(event.node);
-            if (event.kind == BatchEvent::kJoin) {
-              response.batch_results.push_back(*apply_event(
-                  request.campaign, JoinEvent{batch_node, event.amount},
-                  &response.seq));
-            } else {
-              apply_event(request.campaign,
-                          ContributeEvent{batch_node, event.amount},
-                          &response.seq);
-              response.batch_results.push_back(0);
-            }
-          } catch (const std::invalid_argument& error) {
-            response.error = ErrorCode::kRejected;
-            response.message = error.what();
+          if (event.node > std::numeric_limits<NodeId>::max()) {
             break;
           }
+          const NodeId batch_node = static_cast<NodeId>(event.node);
+          if (event.kind == BatchEvent::kJoin) {
+            events.push_back(JoinEvent{batch_node, event.amount});
+          } else {
+            events.push_back(ContributeEvent{batch_node, event.amount});
+          }
+        }
+        response.batch_results.resize(events.size());
+        std::size_t applied = 0;
+        if (storage_ != nullptr) {
+          // One state-lock and one WAL-lock round for the whole frame.
+          storage::FrameResult frame = storage_->apply_frame(
+              request.campaign, events, response.batch_results.data());
+          applied = frame.applied;
+          response.seq = frame.last_seq;
+          rejection = std::move(frame.rejection);
+        } else {
+          for (; applied < events.size(); ++applied) {
+            try {
+              response.batch_results[applied] =
+                  campaign.apply(events[applied]).value_or(0);
+            } catch (const std::invalid_argument& error) {
+              rejection = error.what();
+              break;
+            }
+          }
+        }
+        response.batch_results.resize(applied);
+        if (applied < request.batch.size()) {
+          response.error = ErrorCode::kRejected;
+          response.message = applied < events.size() ? std::move(rejection)
+                                                     : "node id out of range";
         }
         break;
       }

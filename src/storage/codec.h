@@ -39,6 +39,13 @@ inline void put_f64(std::string& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
+/// Overwrites the four bytes at `pos` (a placeholder put earlier).
+inline void patch_u32(std::string& out, std::size_t pos, std::uint32_t v) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    out[pos++] = static_cast<char>((v >> shift) & 0xff);
+  }
+}
+
 /// Bounds-checked little-endian reader over one encoded payload.
 class ByteReader {
  public:

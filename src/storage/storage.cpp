@@ -3,9 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -13,6 +15,7 @@
 #include <system_error>
 
 #include "storage/snapshot.h"
+#include "util/check.h"
 #include "util/io.h"
 
 namespace itree::storage {
@@ -290,6 +293,10 @@ Storage::Storage(const Mechanism& mechanism, std::size_t campaigns,
       config_.data_dir, recovered.next_seq, config_.fsync,
       config_.fsync_interval_seconds, config_.segment_bytes);
   committed_seq_.store(recovered.next_seq - 1, std::memory_order_release);
+  if (config_.repl_tail_records > 0) {
+    tail_ring_ = std::make_unique_for_overwrite<char[]>(
+        config_.repl_tail_records * kWalRecordBytes);
+  }
 }
 
 Storage::~Storage() = default;  // WalWriter's destructor flushes and syncs
@@ -302,26 +309,51 @@ const RecordingService& Storage::campaign(std::size_t index) const {
   return *campaigns_.at(index);
 }
 
-std::optional<NodeId> Storage::apply(std::uint32_t index, const Event& event,
-                                     std::uint64_t* out_seq) {
+FrameResult Storage::apply_frame(std::uint32_t index,
+                                 std::span<const Event> events,
+                                 std::uint64_t* ids) {
   // Shared lock: reactors apply concurrently (different campaigns);
-  // only a snapshot needs the world stopped.
+  // only a snapshot needs the world stopped, and it never splits a frame.
   const std::shared_lock<std::shared_mutex> state(state_mutex_);
   RecordingService& campaign = *campaigns_.at(index);
   // Validate-then-log: a rejected event must not reach the WAL, or
-  // recovery would refuse to replay it.
-  const std::optional<NodeId> id = campaign.apply(event);
-  {
-    const std::lock_guard<std::mutex> lock(wal_mutex_);
-    const std::uint64_t seq = writer_->append(index, event);
-    ++counters_.events_appended;
-    ++events_since_snapshot_;
-    push_repl_tail_locked(seq, index, event);
-    if (out_seq != nullptr) {
-      *out_seq = seq;
+  // recovery would refuse to replay it; an applied one must, whatever
+  // stops the frame after it.
+  FrameResult result;
+  std::exception_ptr failure;
+  try {
+    for (; result.applied < events.size(); ++result.applied) {
+      ids[result.applied] = campaign.apply(events[result.applied]).value_or(0);
     }
+  } catch (const std::invalid_argument& error) {
+    result.rejection = error.what();
+  } catch (...) {
+    failure = std::current_exception();
   }
-  return id;
+  if (result.applied > 0) {
+    const std::lock_guard<std::mutex> lock(wal_mutex_);
+    result.last_seq = append_locked(index, events.first(result.applied));
+  }
+  if (failure) {
+    std::rethrow_exception(failure);
+  }
+  return result;
+}
+
+std::optional<NodeId> Storage::apply(std::uint32_t index, const Event& event,
+                                     std::uint64_t* out_seq) {
+  std::uint64_t id = 0;
+  const FrameResult frame = apply_frame(index, {&event, 1}, &id);
+  if (frame.applied == 0) {
+    throw std::invalid_argument(frame.rejection);
+  }
+  if (out_seq != nullptr) {
+    *out_seq = frame.last_seq;
+  }
+  if (std::holds_alternative<JoinEvent>(event)) {
+    return static_cast<NodeId>(id);
+  }
+  return std::nullopt;
 }
 
 void Storage::append_replicated(const WalRecord& record) {
@@ -334,22 +366,44 @@ void Storage::append_replicated(const WalRecord& record) {
         std::to_string(writer_->next_seq()) +
         "; replica and primary histories diverged");
   }
-  writer_->append(record.campaign, record.event);
-  ++counters_.events_appended;
-  ++events_since_snapshot_;
-  push_repl_tail_locked(record.seq, record.campaign, record.event);
+  append_locked(record.campaign, {&record.event, 1});
 }
 
-void Storage::push_repl_tail_locked(std::uint64_t seq, std::uint32_t campaign,
-                                    const Event& event) {
-  if (config_.repl_tail_records == 0) {
-    return;
+std::uint64_t Storage::append_locked(std::uint32_t campaign,
+                                     std::span<const Event> events) {
+  const std::size_t encoded_from = writer_->buffered().size();
+  const std::uint64_t first_seq = writer_->next_seq();
+  for (const Event& event : events) {
+    writer_->append(campaign, event);
   }
-  repl_tail_.emplace_back(seq,
-                          encode_wal_record(WalRecord{seq, campaign, event}));
-  while (repl_tail_.size() > config_.repl_tail_records) {
-    repl_tail_.pop_front();
+  counters_.events_appended += events.size();
+  events_since_snapshot_ += events.size();
+
+  // Copy the bytes the writer just encoded into the tail ring, at most
+  // one ring's worth (the newest records), wrapping at the end.
+  const std::uint64_t capacity = config_.repl_tail_records;
+  if (capacity > 0) {
+    std::string_view bytes = writer_->buffered().substr(encoded_from);
+    ensure(bytes.size() == events.size() * kWalRecordBytes,
+           "storage: WAL records are not fixed-size");
+    std::uint64_t seq = first_seq;
+    if (events.size() > capacity) {
+      seq += events.size() - capacity;
+      bytes.remove_prefix((events.size() - capacity) * kWalRecordBytes);
+    }
+    while (!bytes.empty()) {
+      const std::uint64_t slot = seq % capacity;
+      const std::size_t run = std::min<std::size_t>(
+          bytes.size(), (capacity - slot) * kWalRecordBytes);
+      std::memcpy(tail_ring_.get() + slot * kWalRecordBytes, bytes.data(),
+                  run);
+      bytes.remove_prefix(run);
+      seq += run / kWalRecordBytes;
+    }
+    tail_end_seq_ = first_seq + events.size();
+    tail_count_ = std::min(capacity, tail_count_ + events.size());
   }
+  return first_seq + events.size() - 1;
 }
 
 std::uint64_t Storage::min_available_seq() const {
@@ -371,15 +425,21 @@ ReplicationWindow Storage::read_replication_window(std::uint64_t from_seq,
     // Fast path: a caught-up replica's window lives in the in-memory
     // tail — no disk reads on the steady-state shipping path.
     const std::lock_guard<std::mutex> lock(wal_mutex_);
-    if (!repl_tail_.empty() && from_seq >= repl_tail_.front().first) {
-      window.min_available_seq = repl_tail_.front().first;
-      for (std::size_t i = from_seq - repl_tail_.front().first;
-           i < repl_tail_.size() && window.count < max_records; ++i) {
-        if (repl_tail_[i].first > window.committed_seq) {
-          break;  // appended but not yet committed; never ship it
-        }
-        window.records += repl_tail_[i].second;
-        ++window.count;
+    const std::uint64_t oldest = tail_end_seq_ - tail_count_;
+    if (tail_count_ > 0 && from_seq >= oldest) {
+      window.min_available_seq = oldest;
+      // Appended but not yet committed records are never shipped.
+      const std::uint64_t end =
+          std::min({tail_end_seq_, window.committed_seq + 1,
+                    from_seq + max_records});
+      const std::uint64_t capacity = config_.repl_tail_records;
+      for (std::uint64_t seq = from_seq; seq < end;) {
+        const std::uint64_t slot = seq % capacity;
+        const std::uint64_t run = std::min(end - seq, capacity - slot);
+        window.records.append(tail_ring_.get() + slot * kWalRecordBytes,
+                              run * kWalRecordBytes);
+        window.count += static_cast<std::uint32_t>(run);
+        seq += run;
       }
       return window;
     }

@@ -2,13 +2,15 @@
 //
 // One Storage owns one data directory and the deployment's campaigns
 // (RecordingService each). Every applied event is appended to a
-// checksummed write-ahead log (wal.h); commit() is the group-commit
-// point the server calls once per epoll tick — buffered records hit
-// the disk in one write() and are fsynced per the configured policy
-// *before* responses are flushed to clients, so an acknowledged event
-// is as durable as the policy promises. Periodic snapshots
-// (snapshot.h) checkpoint the full deployment and compact the log, so
-// restart cost is O(snapshot + WAL tail).
+// checksummed write-ahead log (wal.h), one frame of events per WAL
+// lock round (apply_frame(); see the locking note on the members).
+// commit() is the group-commit point the server calls once per epoll
+// tick — buffered records hit the disk in one write() and are fsynced
+// per the configured policy *before* responses are flushed to
+// clients, so an acknowledged event is as durable as the policy
+// promises. Periodic snapshots (snapshot.h) checkpoint the full
+// deployment and compact the log, so restart cost is O(snapshot + WAL
+// tail).
 //
 // Recovery invariants (asserted by tests/storage_test.cpp and the CI
 // crash smoke):
@@ -32,11 +34,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,6 +49,13 @@
 #include "storage/wal.h"
 
 namespace itree::storage {
+
+/// Outcome of Storage::apply_frame().
+struct FrameResult {
+  std::size_t applied = 0;     ///< applied and logged: a prefix of the frame
+  std::uint64_t last_seq = 0;  ///< WAL seq of the last applied event, 0 if none
+  std::string rejection;       ///< why event `applied` was rejected, if any
+};
 
 struct StorageConfig {
   std::string data_dir;
@@ -173,14 +182,27 @@ class Storage {
   const RecordingService& campaign(std::size_t index) const;
   std::size_t campaign_count() const { return campaigns_.size(); }
 
-  /// Applies one event through campaign `index`'s normal apply path
-  /// and logs it. Exceptions from the service propagate and nothing is
-  /// logged. Safe to call concurrently for *different* campaigns (the
-  /// WAL append is serialized internally, snapshots are excluded via a
-  /// shared lock); per campaign the caller must apply serially, as the
-  /// owning reactor's campaign groups do. When `out_seq` is non-null it
-  /// receives the WAL sequence assigned to the event — the write-ack
-  /// consistency token (durable only after the next commit()).
+  /// Applies one frame of events, in order, through campaign `index`'s
+  /// normal apply path until the first rejection (a
+  /// std::invalid_argument from the service, reported in `rejection`),
+  /// then logs the applied prefix under one WAL lock round with
+  /// contiguous seqs. `ids` needs room for events.size() entries and
+  /// receives, per applied event, the join's assigned id or 0 for a
+  /// contribution. A rejected event is never logged; an applied one
+  /// always is — if the service throws anything else mid-frame, the
+  /// prefix is logged and the exception rethrown. Safe to call
+  /// concurrently for *different* campaigns (the WAL append is
+  /// serialized internally, snapshots are excluded via a shared lock
+  /// held across the frame); per campaign the caller must apply
+  /// serially, as the owning reactor's campaign groups do. `last_seq`
+  /// is the write-ack consistency token (durable only after the next
+  /// commit()).
+  FrameResult apply_frame(std::uint32_t index, std::span<const Event> events,
+                          std::uint64_t* ids);
+
+  /// A one-event apply_frame(): returns the id for a join, rethrows a
+  /// rejection as std::invalid_argument, and stores the assigned seq in
+  /// `out_seq` when non-null.
   std::optional<NodeId> apply(std::uint32_t index, const Event& event,
                               std::uint64_t* out_seq = nullptr);
 
@@ -244,21 +266,27 @@ class Storage {
  private:
   /// Snapshot body; caller holds state_mutex_ exclusively.
   void snapshot_locked();
-  /// Appends to the replication tail buffer; caller holds wal_mutex_.
-  void push_repl_tail_locked(std::uint64_t seq, std::uint32_t campaign,
-                             const Event& event);
+  /// Appends `events` of `campaign` to the WAL with contiguous seqs and
+  /// copies their encoded bytes into the replication tail; returns the
+  /// last seq. Caller holds wal_mutex_.
+  std::uint64_t append_locked(std::uint32_t campaign,
+                              std::span<const Event> events);
 
   const Mechanism* mechanism_;
   StorageConfig config_;
   std::vector<std::unique_ptr<RecordingService>> campaigns_;
   std::unique_ptr<WalWriter> writer_;
   /// Two-level locking for the multi-reactor server. state_mutex_ is
-  /// held shared by apply()/commit() (reactors run concurrently;
+  /// held shared by apply_frame()/commit() (reactors run concurrently;
   /// per-campaign serialization is the caller's ownership discipline)
   /// and exclusively by snapshots, which must observe every campaign
-  /// at one quiesced watermark. wal_mutex_ nests inside it and
-  /// serializes the cross-campaign WAL writer. Lock order:
-  /// state_mutex_ then wal_mutex_, always.
+  /// at one quiesced watermark. apply_frame() holds it across the whole
+  /// frame: every event goes through the service first, then
+  /// wal_mutex_ is taken once to append the applied prefix and copy its
+  /// bytes into the tail ring — one WAL lock round per frame, not per
+  /// event. wal_mutex_ nests inside state_mutex_ and serializes the
+  /// cross-campaign WAL writer, the tail ring and the replication
+  /// reads of it. Lock order: state_mutex_ then wal_mutex_, always.
   std::shared_mutex state_mutex_;
   std::mutex wal_mutex_;  ///< serializes cross-campaign WAL appends
   RecoveryReport recovery_;
@@ -267,9 +295,15 @@ class Storage {
   /// Advanced after the writer's buffer reaches the file. Readable
   /// lock-free by the replication serving path and SERVER_STATS.
   std::atomic<std::uint64_t> committed_seq_{0};
-  /// Recent records in on-disk encoding, (seq, bytes), guarded by
-  /// wal_mutex_; contiguous seqs, capped at repl_tail_records.
-  std::deque<std::pair<std::uint64_t, std::string>> repl_tail_;
+  /// Replication tail: the newest repl_tail_records records in their
+  /// on-disk encoding, copied from the writer's buffer as they are
+  /// appended. A byte ring of kWalRecordBytes slots, record `seq` in
+  /// slot seq % repl_tail_records, holding seqs
+  /// [tail_end_seq_ - tail_count_, tail_end_seq_); guarded by
+  /// wal_mutex_.
+  std::unique_ptr<char[]> tail_ring_;
+  std::uint64_t tail_end_seq_ = 0;
+  std::uint64_t tail_count_ = 0;
 };
 
 }  // namespace itree::storage

@@ -28,22 +28,28 @@ constexpr std::uint8_t kKindContribute = 2;
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-std::string encode_wal_payload(const WalRecord& record) {
-  std::string payload;
-  put_u64(payload, record.seq);
+/// Appends one framed record to `out` in place: a header placeholder,
+/// the payload, then the length and CRC patched over the placeholder.
+void append_wal_record(std::string& out, const WalRecord& record) {
+  const std::size_t start = out.size();
+  out.append(kWalRecordHeaderBytes, '\0');  // length + CRC, patched below
+  put_u64(out, record.seq);
   if (const auto* join = std::get_if<JoinEvent>(&record.event)) {
-    put_u8(payload, kKindJoin);
-    put_u32(payload, record.campaign);
-    put_u64(payload, join->referrer);
-    put_f64(payload, join->initial_contribution);
+    put_u8(out, kKindJoin);
+    put_u32(out, record.campaign);
+    put_u64(out, join->referrer);
+    put_f64(out, join->initial_contribution);
   } else {
     const auto& contribute = std::get<ContributeEvent>(record.event);
-    put_u8(payload, kKindContribute);
-    put_u32(payload, record.campaign);
-    put_u64(payload, contribute.participant);
-    put_f64(payload, contribute.amount);
+    put_u8(out, kKindContribute);
+    put_u32(out, record.campaign);
+    put_u64(out, contribute.participant);
+    put_f64(out, contribute.amount);
   }
-  return payload;
+  const std::size_t payload_start = start + kWalRecordHeaderBytes;
+  patch_u32(out, start, static_cast<std::uint32_t>(out.size() - payload_start));
+  patch_u32(out, start + 4,
+            crc32c(std::string_view(out).substr(payload_start)));
 }
 
 WalRecord decode_wal_payload(std::string_view payload) {
@@ -100,12 +106,9 @@ std::string to_string(FsyncPolicy policy) {
 }
 
 std::string encode_wal_record(const WalRecord& record) {
-  const std::string payload = encode_wal_payload(record);
   std::string out;
-  out.reserve(kWalRecordHeaderBytes + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32c(payload));
-  out += payload;
+  out.reserve(kWalRecordBytes);
+  append_wal_record(out, record);
   return out;
 }
 
@@ -211,15 +214,26 @@ WalWriter::~WalWriter() {
 
 std::uint64_t WalWriter::append(std::uint32_t campaign,
                                 const Event& event) {
-  WalRecord record;
-  record.seq = next_seq_++;
-  record.campaign = campaign;
-  record.event = event;
+  require_usable();
+  const std::uint64_t seq = next_seq_++;
   if (fd_ < 0 && buffer_.empty()) {
-    segment_first_seq_ = record.seq;  // first record of the next segment
+    segment_first_seq_ = seq;  // first record of the next segment
   }
-  buffer_ += encode_wal_record(record);
-  return record.seq;
+  append_wal_record(buffer_, WalRecord{seq, campaign, event});
+  return seq;
+}
+
+void WalWriter::require_usable() const {
+  if (poisoned_) {
+    throw std::runtime_error("WalWriter: an earlier write or fsync on " +
+                             segment_path_ +
+                             " failed; the log is fenced until restart");
+  }
+}
+
+void WalWriter::poison(const std::string& what) {
+  poisoned_ = true;
+  fail(what);
 }
 
 void WalWriter::open_segment() {
@@ -246,12 +260,13 @@ void WalWriter::close_segment() {
 }
 
 void WalWriter::commit() {
+  require_usable();
   if (!buffer_.empty()) {
     if (fd_ < 0) {
       open_segment();
     }
     if (!io::write_all(fd_, buffer_.data(), buffer_.size())) {
-      fail("WalWriter: write failed on " + segment_path_);
+      poison("WalWriter: write failed on " + segment_path_);
     }
     segment_size_ += buffer_.size();
     bytes_appended_ += buffer_.size();
@@ -266,7 +281,7 @@ void WalWriter::commit() {
         now - last_sync_ >= fsync_interval_seconds_));
   if (want_sync) {
     if (!io::fsync_fd(fd_)) {
-      fail("WalWriter: fsync failed on " + segment_path_);
+      poison("WalWriter: fsync failed on " + segment_path_);
     }
     ++fsync_count_;
     last_sync_ = now;
@@ -277,7 +292,7 @@ void WalWriter::commit() {
     // segment, named after the next unassigned sequence number.
     if (dirty_since_sync_ && policy_ != FsyncPolicy::kNever) {
       if (!io::fsync_fd(fd_)) {
-        fail("WalWriter: fsync failed on " + segment_path_);
+        poison("WalWriter: fsync failed on " + segment_path_);
       }
       ++fsync_count_;
       last_sync_ = monotonic_seconds();
@@ -291,7 +306,7 @@ void WalWriter::sync() {
   commit();
   if (fd_ >= 0 && dirty_since_sync_) {
     if (!io::fsync_fd(fd_)) {
-      fail("WalWriter: fsync failed on " + segment_path_);
+      poison("WalWriter: fsync failed on " + segment_path_);
     }
     ++fsync_count_;
     last_sync_ = monotonic_seconds();

@@ -24,9 +24,9 @@
 // offset of the last good record boundary so recovery can truncate the
 // tail. Everything before that offset is trusted (CRC-verified).
 //
-// Writing. WalWriter buffers appended records in memory; commit()
-// write()s the buffer (one syscall per group of records — group
-// commit) and fsyncs per the configured policy:
+// Writing. WalWriter encodes each appended record straight into its
+// in-memory buffer; commit() write()s the buffer (one syscall per group
+// of records — group commit) and fsyncs per the configured policy:
 //     kAlways   fsync every commit (acknowledged => durable)
 //     kInterval fsync when `fsync_interval_seconds` elapsed since the
 //               last sync (bounded data loss, near-kNever throughput)
@@ -34,11 +34,19 @@
 // Segments rotate at commit boundaries once they exceed
 // `segment_bytes`, so snapshot-driven compaction can delete whole
 // files.
+//
+// Fail-stop. A failed write() or fsync leaves the segment in an
+// unknown state: a short write put part of the buffer on disk, and a
+// failed fsync may have dropped dirty pages the kernel then marks
+// clean. Retrying would rewrite the buffer behind the partial bytes (a
+// tear mid-segment) or report unsynced data as durable, so the writer
+// is poisoned instead: every later append, commit or sync throws.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "server/event.h"
@@ -46,6 +54,9 @@
 namespace itree::storage {
 
 inline constexpr std::size_t kWalRecordHeaderBytes = 8;
+/// Framed size of every record: both event kinds encode the same
+/// fixed-width 29-byte payload.
+inline constexpr std::size_t kWalRecordBytes = kWalRecordHeaderBytes + 29;
 /// Hard cap on one record's payload; a length prefix above this is
 /// corruption (or a torn length), never a real record.
 inline constexpr std::uint32_t kMaxWalRecordBytes = 1u << 16;
@@ -71,7 +82,9 @@ struct WalRecord {
   bool operator==(const WalRecord&) const = default;
 };
 
-/// Encodes one record in the framed on-disk form (header + payload).
+/// Encodes one record in the framed on-disk form (header + payload),
+/// through the same in-place writer WalWriter::append uses, so their
+/// bytes cannot diverge.
 std::string encode_wal_record(const WalRecord& record);
 
 /// Result of scanning one segment's bytes.
@@ -112,12 +125,13 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   /// Buffers one event; assigns and returns its sequence number.
+  /// Throws std::runtime_error once the writer is poisoned.
   std::uint64_t append(std::uint32_t campaign, const Event& event);
 
   /// Group commit: writes the buffered records, fsyncs per policy, and
   /// rotates the segment when it outgrew `segment_bytes`. Throws
   /// std::runtime_error on I/O failure (durability errors must not be
-  /// silent).
+  /// silent); a failed write() or fsync poisons the writer.
   void commit();
 
   /// commit() plus an unconditional fsync (shutdown, pre-snapshot).
@@ -128,6 +142,8 @@ class WalWriter {
   /// is frozen and safe to delete.
   void rotate();
 
+  /// Encoded records not yet handed to write(), in append order.
+  std::string_view buffered() const { return buffer_; }
   std::uint64_t next_seq() const { return next_seq_; }
   std::uint64_t bytes_appended() const { return bytes_appended_; }
   std::uint64_t fsync_count() const { return fsync_count_; }
@@ -136,6 +152,10 @@ class WalWriter {
  private:
   void open_segment();
   void close_segment();
+  /// Throws when poisoned.
+  void require_usable() const;
+  /// Marks the writer poisoned and throws `what` with errno's text.
+  [[noreturn]] void poison(const std::string& what);
 
   std::string dir_;
   FsyncPolicy policy_;
@@ -153,6 +173,7 @@ class WalWriter {
   std::uint64_t segments_created_ = 0;
   double last_sync_ = 0.0;
   bool dirty_since_sync_ = false;
+  bool poisoned_ = false;
 };
 
 }  // namespace itree::storage

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <span>
 #include <thread>
@@ -17,6 +19,8 @@
 #include "net/server.h"
 #include "net/spsc_ring.h"
 #include "server/event_log.h"
+#include "storage/storage.h"
+#include "storage/wal.h"
 #include "util/rng.h"
 
 namespace itree::net {
@@ -557,6 +561,88 @@ TEST_F(NetTest, NonFiniteAmountsAreRejectedWithoutSideEffects) {
   EXPECT_EQ(stats.total_reward, reference.service().total_reward());
   EXPECT_EQ(client.audit(0), reference.service().audit());
   EXPECT_EQ(client.reward(0, 1), reference.service().reward(1));
+}
+
+TEST_F(NetTest, DurableBatchLogsExactlyTheAppliedPrefix) {
+  // The k-th event of a durable EVENT_BATCH is rejected, once by the
+  // service (unknown participant) and once at conversion (node id out
+  // of range): the WAL must hold exactly the k applied records, the
+  // response's seq must be the last of them, and recovery must rebuild
+  // the in-process reference bit for bit.
+  namespace fs = std::filesystem;
+  const MechanismPtr mechanism = make_default(MechanismKind::kCdrmReciprocal);
+  std::vector<BatchEvent> valid;
+  drive_workload(97, 40, [&](NodeId node, double amount, bool is_join) {
+    valid.push_back({is_join ? BatchEvent::kJoin : BatchEvent::kContribute,
+                     node, amount});
+  });
+  const std::uint64_t out_of_range =
+      std::uint64_t{std::numeric_limits<NodeId>::max()} + 1;
+  for (const BatchEvent& bad :
+       {BatchEvent{BatchEvent::kContribute, 1000, 1.0},
+        BatchEvent{BatchEvent::kJoin, out_of_range, 1.0}}) {
+    const fs::path dir =
+        fs::temp_directory_path() / "itree_net_durable_prefix";
+    fs::remove_all(dir);
+    ServerConfig config;
+    config.storage.data_dir = dir.string();
+    config.storage.mechanism_name = "cdrm-1";
+    start(*mechanism, config);
+    Client client = connect();
+    // Frame 1 applies whole; frame 2 stops at its k-th event.
+    const std::size_t first = 15, k = 20;
+    std::vector<BatchEvent> rejected_frame(valid.begin() + first,
+                                           valid.begin() + first + k);
+    rejected_frame.push_back(bad);
+    rejected_frame.push_back({BatchEvent::kJoin, kRoot, 1.0});
+    ASSERT_TRUE(client
+                    .send_events(0, std::span<const BatchEvent>(valid.data(),
+                                                                first))
+                    .complete());
+    const BatchResult result = client.send_events(0, rejected_frame);
+    ASSERT_EQ(result.results.size(), k);
+    EXPECT_EQ(result.error, ErrorCode::kRejected);
+    EXPECT_EQ(result.seq, first + k);
+
+    RecordingService reference(*mechanism);
+    for (std::size_t i = 0; i < first + k; ++i) {
+      const BatchEvent& event = valid[i];
+      const NodeId node = static_cast<NodeId>(event.node);
+      if (event.kind == BatchEvent::kJoin) {
+        reference.join(node, event.amount);
+      } else {
+        reference.contribute(node, event.amount);
+      }
+    }
+    // The response followed the tick's commit, so the records are in
+    // the segment file now; recovery reads them without the server's
+    // drain snapshot.
+    std::vector<storage::WalRecord> logged;
+    for (const auto& [first_seq, name] : storage::list_wal_segments(dir)) {
+      const storage::WalScan scan =
+          storage::scan_wal_file((dir / name).string());
+      EXPECT_TRUE(scan.clean);
+      logged.insert(logged.end(), scan.records.begin(), scan.records.end());
+    }
+    ASSERT_EQ(logged.size(), first + k);
+    for (std::size_t i = 0; i < logged.size(); ++i) {
+      EXPECT_EQ(logged[i].seq, i + 1);
+      EXPECT_EQ(logged[i].event, reference.log().events()[i]);
+    }
+    const storage::RecoveryResult recovered =
+        storage::recover_campaigns(*mechanism, config.campaigns, dir);
+    const RewardService& got = recovered.campaigns[0]->service();
+    EXPECT_EQ(got.events_applied(), first + k);
+    ASSERT_EQ(got.rewards().size(), reference.service().rewards().size());
+    for (std::size_t u = 0; u < got.rewards().size(); ++u) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.rewards()[u]),
+                std::bit_cast<std::uint64_t>(
+                    reference.service().rewards()[u]))
+          << "node " << u;
+    }
+    stop();
+    fs::remove_all(dir);
+  }
 }
 
 TEST_F(NetTest, EventBatchMatchesPerFrameBitForBit) {

@@ -5,12 +5,20 @@
 // run over the surviving event prefix, for both TDRM (batch path) and
 // CDRM (incremental path) campaigns, at any thread count.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <bit>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/factory.h"
@@ -213,6 +221,177 @@ TEST(Wal, WriterRotatesSegmentsAtTheConfiguredSize) {
     expected += scan.records.size();
   }
   EXPECT_EQ(expected, 51u);
+  fs::remove_all(dir);
+}
+
+/// Concatenated bytes of every segment file in `dir`, in seq order.
+std::string read_segments(const fs::path& dir) {
+  std::string bytes;
+  for (const auto& [first_seq, name] : list_wal_segments(dir.string())) {
+    bytes += read_file(dir / name);
+  }
+  return bytes;
+}
+
+std::uint64_t amount_bits(const Event& event) {
+  const double amount =
+      std::holds_alternative<JoinEvent>(event)
+          ? std::get<JoinEvent>(event).initial_contribution
+          : std::get<ContributeEvent>(event).amount;
+  return std::bit_cast<std::uint64_t>(amount);
+}
+
+TEST(Wal, InPlaceAppendsAreByteIdenticalToEncodeWalRecord) {
+  const fs::path dir = fresh_dir("itree_storage_wal_identity");
+  fs::create_directories(dir);
+  constexpr NodeId kMaxNode = std::numeric_limits<NodeId>::max();
+  const std::vector<WalRecord> records = {
+      {1, 0, JoinEvent{kRoot, -0.0}},
+      {2, 7, JoinEvent{kMaxNode, 2.5}},
+      {3, 0, ContributeEvent{kMaxNode, -0.0}},
+      {4, std::numeric_limits<std::uint32_t>::max(),
+       ContributeEvent{1, 1e300}},
+  };
+  std::string expected;
+  {
+    WalWriter writer(dir.string(), 1, FsyncPolicy::kNever, 0.0, 1 << 20);
+    for (const WalRecord& record : records) {
+      EXPECT_EQ(writer.append(record.campaign, record.event), record.seq);
+      const std::string encoded = encode_wal_record(record);
+      EXPECT_EQ(encoded.size(), kWalRecordBytes);
+      expected += encoded;
+    }
+    EXPECT_EQ(writer.buffered(), expected);
+    writer.commit();
+  }
+  EXPECT_EQ(read_segments(dir), expected);
+  const WalScan scan = scan_wal(expected);
+  EXPECT_TRUE(scan.clean);
+  ASSERT_EQ(scan.records, records);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    // == treats -0.0 as 0.0; the sign bit must survive too.
+    EXPECT_EQ(amount_bits(scan.records[i].event),
+              amount_bits(records[i].event));
+  }
+  fs::remove_all(dir);
+}
+
+TEST(Storage, FrameAppendsAreByteIdenticalToEncodeWalRecord) {
+  const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
+  const fs::path dir = fresh_dir("itree_storage_frame_identity");
+  StorageConfig config;
+  config.data_dir = dir.string();
+  config.fsync = FsyncPolicy::kNever;
+  // Joins and contributions, -0.0 amounts among them, in frames of
+  // several sizes across two campaigns.
+  std::vector<Event> stream = make_stream(808, 90);
+  for (std::size_t i = 0; i < stream.size(); i += 5) {
+    if (auto* join = std::get_if<JoinEvent>(&stream[i])) {
+      join->initial_contribution = -0.0;
+    } else {
+      std::get<ContributeEvent>(stream[i]).amount = -0.0;
+    }
+  }
+  std::vector<WalRecord> logged;
+  {
+    Storage storage(*mechanism, 2, config);
+    std::vector<std::uint64_t> ids(stream.size());
+    std::size_t at = 0;
+    for (const std::size_t frame : {1, 7, 16, 2, 64}) {
+      for (std::uint32_t campaign = 0; campaign < 2; ++campaign) {
+        const std::span<const Event> events(stream.data() + at, frame);
+        const FrameResult result =
+            storage.apply_frame(campaign, events, ids.data());
+        ASSERT_EQ(result.applied, frame) << result.rejection;
+        for (std::size_t i = 0; i < frame; ++i) {
+          logged.push_back({result.last_seq - frame + 1 + i, campaign,
+                            events[i]});
+        }
+      }
+      at += frame;
+      storage.commit();
+    }
+  }
+  std::string expected;
+  for (const WalRecord& record : logged) {
+    expected += encode_wal_record(record);
+  }
+  const std::string on_disk = read_segments(dir);
+  EXPECT_EQ(on_disk, expected);
+  const WalScan scan = scan_wal(on_disk);
+  EXPECT_TRUE(scan.clean);
+  EXPECT_EQ(scan.records, logged);
+  fs::remove_all(dir);
+}
+
+/// Lowers the soft RLIMIT_FSIZE for the test's scope, with SIGXFSZ
+/// ignored so an over-limit write() fails with EFBIG instead of
+/// killing the process.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    ::getrlimit(RLIMIT_FSIZE, &previous_);
+    rlimit lowered = previous_;
+    lowered.rlim_cur = bytes;
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &previous_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit previous_{};
+  void (*previous_handler_)(int) = nullptr;
+};
+
+TEST(Storage, FailedWriteFencesTheWal) {
+  const MechanismPtr mechanism = make_default(MechanismKind::kGeometric);
+  const fs::path dir = fresh_dir("itree_storage_fenced");
+  StorageConfig config;
+  config.data_dir = dir.string();
+  config.fsync = FsyncPolicy::kNever;
+  const std::vector<Event> stream = make_stream(909, 40);
+  std::vector<std::uint64_t> ids(stream.size());
+  Storage storage(*mechanism, 1, config);
+  storage.apply_frame(0, std::span(stream).first(10), ids.data());
+  storage.commit();
+  ASSERT_EQ(storage.committed_seq(), 10u);
+  const auto segments = list_wal_segments(dir.string());
+  ASSERT_EQ(segments.size(), 1u);
+  const fs::path segment = dir / segments.front().second;
+  const std::uintmax_t committed_bytes = fs::file_size(segment);
+  ASSERT_EQ(committed_bytes, 10 * kWalRecordBytes);
+
+  // Ten more records, but room for only one and a half: the commit's
+  // write() lands part of the buffer, then fails with EFBIG.
+  storage.apply_frame(0, std::span(stream).subspan(10, 10), ids.data());
+  const std::uintmax_t limit = committed_bytes + kWalRecordBytes * 3 / 2;
+  {
+    FileSizeLimit fsize(limit);
+    EXPECT_THROW(storage.commit(), std::runtime_error);
+  }
+  EXPECT_EQ(fs::file_size(segment), limit);
+  EXPECT_EQ(storage.committed_seq(), 10u);
+
+  // With the limit lifted a retry would succeed and write the whole
+  // buffer again behind the partial bytes. The writer must refuse.
+  EXPECT_THROW(storage.commit(), std::runtime_error);
+  EXPECT_THROW(storage.apply_frame(0, std::span(stream).subspan(20, 1),
+                                   ids.data()),
+               std::runtime_error);
+  EXPECT_THROW(storage.snapshot_now(), std::runtime_error);
+  EXPECT_EQ(storage.committed_seq(), 10u);
+  EXPECT_EQ(fs::file_size(segment), limit);
+  // Recovery sees a clean prefix and a torn tail, never a mid-log tear.
+  const RecoveryResult recovered =
+      recover_campaigns(*mechanism, 1, dir.string());
+  EXPECT_EQ(recovered.campaigns[0]->service().events_applied(), 11u);
+  EXPECT_EQ(recovered.report.warnings.size(), 1u);
   fs::remove_all(dir);
 }
 
@@ -1120,6 +1299,121 @@ TEST(Storage, RestoreSnapshotMatchesTheOriginalServiceBitExactly) {
       EXPECT_NEAR(replayed.rewards()[u], expected[u], 1e-9);
     }
   }
+}
+
+TEST(Storage, ConcurrentFramesRecoverBitIdenticallyWithGapFreeSeqs) {
+  const MechanismPtr mechanism = make_default(MechanismKind::kCdrmReciprocal);
+  const fs::path dir = fresh_dir("itree_storage_concurrent_frames");
+  constexpr std::size_t kCampaigns = 2;
+  constexpr std::size_t kEvents = 1200;
+  constexpr std::size_t kFrame = 24;
+  constexpr std::size_t kTail = 600;  // campaign 0, after the threads
+  std::vector<std::vector<Event>> streams;
+  for (std::size_t c = 0; c < kCampaigns; ++c) {
+    streams.push_back(make_stream(1200 + c, kEvents + (c == 0 ? kTail : 0)));
+  }
+  StorageConfig config;
+  config.data_dir = dir.string();
+  config.fsync = FsyncPolicy::kNever;
+  config.snapshot_every = 300;   // snapshots interleave with both threads
+  config.repl_tail_records = 1000;  // the tail ring wraps
+  // (first seq, last seq) of every logged frame.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> frames;
+  std::uint64_t committed = 0;
+  std::string window_bytes;
+  std::uint64_t window_from = 0;
+  std::string segment_bytes;
+  std::uint64_t segment_from = 0;
+  {
+    Storage storage(*mechanism, kCampaigns, config);
+    std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
+        per_thread(kCampaigns);
+    std::vector<std::thread> threads;
+    for (std::size_t c = 0; c < kCampaigns; ++c) {
+      threads.emplace_back([&, c] {
+        std::vector<std::uint64_t> ids(kFrame);
+        const std::span<const Event> stream(streams[c]);
+        for (std::size_t at = 0; at < kEvents; at += kFrame) {
+          const FrameResult result =
+              storage.apply_frame(static_cast<std::uint32_t>(c),
+                                  stream.subspan(at, kFrame), ids.data());
+          if (result.applied != kFrame) {
+            ADD_FAILURE() << "frame rejected: " << result.rejection;
+            return;
+          }
+          per_thread[c].emplace_back(result.last_seq - kFrame + 1,
+                                     result.last_seq);
+          storage.commit();
+        }
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    EXPECT_GE(storage.counters().snapshots_written, 2u);
+    for (const auto& ranges : per_thread) {
+      frames.insert(frames.end(), ranges.begin(), ranges.end());
+    }
+    // A snapshot-free tail, so the newest records are still on disk.
+    storage.disable_periodic_snapshots();
+    std::vector<std::uint64_t> ids(kFrame);
+    for (std::size_t at = kEvents; at < kEvents + kTail; at += kFrame) {
+      const FrameResult result = storage.apply_frame(
+          0, std::span(streams[0]).subspan(at, kFrame), ids.data());
+      ASSERT_EQ(result.applied, kFrame);
+      frames.emplace_back(result.last_seq - kFrame + 1, result.last_seq);
+    }
+    storage.commit();
+    committed = storage.committed_seq();
+    // A caught-up replica's window comes from the ring and must equal
+    // the segment files byte for byte.
+    segment_from = storage.min_available_seq();
+    segment_bytes = read_segments(dir);
+    window_from = committed > 500 ? committed - 500 : 1;
+    const ReplicationWindow window =
+        storage.read_replication_window(window_from, 100000);
+    EXPECT_EQ(window.committed_seq, committed);
+    EXPECT_EQ(window.count, committed - window_from + 1);
+    window_bytes = window.records;
+  }
+
+  // Gap-free seq chain: the frames' seq ranges tile 1..committed.
+  std::sort(frames.begin(), frames.end());
+  std::uint64_t next = 1;
+  for (const auto& [first, last] : frames) {
+    ASSERT_EQ(first, next);
+    next = last + 1;
+  }
+  EXPECT_EQ(next - 1, kCampaigns * kEvents + kTail);
+  EXPECT_EQ(committed, next - 1);
+
+  // The ring serves exactly the on-disk bytes of the same seqs.
+  ASSERT_GE(window_from, segment_from);
+  ASSERT_GE(segment_bytes.size(),
+            (committed - segment_from + 1) * kWalRecordBytes);
+  EXPECT_EQ(window_bytes,
+            segment_bytes.substr((window_from - segment_from) * kWalRecordBytes,
+                                 (committed - window_from + 1) *
+                                     kWalRecordBytes));
+
+  // Recovery is bit-identical to an in-process run per campaign.
+  const RecoveryResult recovered =
+      recover_campaigns(*mechanism, kCampaigns, dir.string());
+  for (std::size_t c = 0; c < kCampaigns; ++c) {
+    RewardService reference(*mechanism);
+    for (const Event& event : streams[c]) {
+      reference.apply(event);
+    }
+    const RewardService& got = recovered.campaigns[c]->service();
+    EXPECT_EQ(got.events_applied(), streams[c].size());
+    ASSERT_EQ(got.rewards().size(), reference.rewards().size());
+    for (std::size_t u = 0; u < got.rewards().size(); ++u) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.rewards()[u]),
+                std::bit_cast<std::uint64_t>(reference.rewards()[u]))
+          << "campaign " << c << " node " << u;
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace
