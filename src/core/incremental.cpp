@@ -1,11 +1,34 @@
 #include "core/incremental.h"
 
 #include <algorithm>
+#include <span>
 
 #include "tree/subtree_sums.h"
 #include "util/check.h"
 
 namespace itree {
+
+namespace {
+
+// Sizes a record array in bulk (construction from a tree, adopt) to one
+// default record per node of `tree`, linked to the node's parent. It
+// reserves one doubling step up front so the joins that follow fill
+// memory the allocator has reserved but not yet touched. Otherwise the
+// first push_back copies all n records into a fresh 2n block while the
+// old block is still resident: a peak-RSS spike the size of the whole
+// array, right after a restore.
+template <typename Record>
+void size_records(std::vector<Record>& records, const Tree& tree) {
+  const std::span<const NodeId> parents = tree.parent_array();
+  records = std::vector<Record>();
+  records.reserve(2 * parents.size());
+  records.resize(parents.size());
+  for (std::size_t u = 0; u < parents.size(); ++u) {
+    records[u].parent = parents[u];
+  }
+}
+
+}  // namespace
 
 IncrementalSubtreeState::IncrementalSubtreeState()
     : IncrementalSubtreeState(Config{}) {}
@@ -14,7 +37,7 @@ IncrementalSubtreeState::IncrementalSubtreeState(Config config)
     : config_(config) {
   require(config_.decay > 0.0 && config_.decay <= 1.0,
           "IncrementalSubtreeState: decay must be in (0, 1]");
-  sums_.push_back(0.0);
+  records_.emplace_back();
   if (config_.track_binary_depth) {
     bd_.push_back(1);
     bd_first_.push_back(0);
@@ -27,9 +50,14 @@ IncrementalSubtreeState::IncrementalSubtreeState(Config config,
     : config_(config), tree_(initial) {
   require(config_.decay > 0.0 && config_.decay <= 1.0,
           "IncrementalSubtreeState: decay must be in (0, 1]");
-  sums_ = geometric_subtree_sums(tree_, config_.decay);
-  for (NodeId u = 1; u < tree_.node_count(); ++u) {
-    total_sum_ += sums_[u];
+  size_records(records_, tree_);
+  const std::vector<double> sums =
+      geometric_subtree_sums(tree_, config_.decay);
+  for (NodeId u = 0; u < tree_.node_count(); ++u) {
+    records_[u].sum = sums[u];
+    if (u != kRoot) {
+      total_sum_ += sums[u];
+    }
   }
   if (config_.track_binary_depth) {
     rebuild_binary_depths();
@@ -43,14 +71,13 @@ void IncrementalSubtreeState::bubble_up(NodeId from, double delta) {
   NodeId w = from;
   double scaled = delta;
   while (true) {
-    sums_[w] += scaled;
-    if (w != kRoot) {
-      total_sum_ += scaled;
-    }
+    SumRecord& record = records_[w];
+    record.sum += scaled;
     if (w == kRoot) {
       break;
     }
-    w = tree_.parent(w);
+    total_sum_ += scaled;
+    w = record.parent;
     scaled *= config_.decay;
     // Underflow early exit: delta >= 0 and decay in (0, 1] keep scaled
     // non-negative, so once it hits +0.0 every remaining ancestor would
@@ -99,7 +126,7 @@ void IncrementalSubtreeState::binary_depth_child_changed(
     child_old = bd_[p];
     bd_[p] = updated;
     child_new = updated;
-    p = tree_.parent(p);
+    p = records_[p].parent;
   }
 }
 
@@ -124,7 +151,7 @@ void IncrementalSubtreeState::rebuild_binary_depths() {
 
 NodeId IncrementalSubtreeState::add_leaf(NodeId parent, double contribution) {
   const NodeId leaf = tree_.add_node(parent, contribution);
-  sums_.push_back(0.0);
+  records_.push_back({.parent = parent});
   if (config_.track_binary_depth) {
     // Integer shape maintenance stays immediate even in batch mode —
     // it is exact in any order, and later events may query BD.
@@ -165,11 +192,11 @@ void IncrementalSubtreeState::flush_batch() {
 }
 
 double IncrementalSubtreeState::subtree_aggregate(NodeId u) const {
-  require(u < sums_.size(), "IncrementalSubtreeState::subtree_aggregate");
+  require(u < records_.size(), "IncrementalSubtreeState::subtree_aggregate");
   require(pending_.empty(),
           "IncrementalSubtreeState: pending batched walks; flush_batch() "
           "before querying");
-  return sums_[u];
+  return records_[u].sum;
 }
 
 double IncrementalSubtreeState::x_of(NodeId u) const {
@@ -200,7 +227,11 @@ std::vector<double> IncrementalSubtreeState::export_aggregates() const {
   require(pending_.empty(),
           "IncrementalSubtreeState: pending batched walks; flush_batch() "
           "before exporting");
-  std::vector<double> blob = sums_;
+  std::vector<double> blob;
+  blob.reserve(records_.size() + 1);
+  for (const SumRecord& record : records_) {
+    blob.push_back(record.sum);
+  }
   blob.push_back(total_sum_);
   return blob;
 }
@@ -210,15 +241,16 @@ void IncrementalSubtreeState::import_aggregates(
   const std::size_t n = tree_.node_count();
   require(blob.size() == n + 1 || blob.size() == n,
           "IncrementalSubtreeState::import_aggregates: blob size mismatch");
+  for (NodeId u = 0; u < n; ++u) {
+    records_[u].sum = blob[u];
+  }
   if (blob.size() == n + 1) {
-    sums_.assign(blob.begin(), blob.end() - 1);
     total_sum_ = blob.back();
   } else {
     // Legacy pre-v3 layout: per-node totals without the running total.
-    sums_ = blob;
     total_sum_ = 0.0;
     for (NodeId u = 1; u < n; ++u) {
-      total_sum_ += sums_[u];
+      total_sum_ += blob[u];
     }
   }
 }
@@ -227,7 +259,7 @@ void IncrementalSubtreeState::adopt_tree(Tree&& tree) {
   require(tree_.node_count() == 1 && pending_.empty(),
           "IncrementalSubtreeState::adopt_tree: state already has nodes");
   tree_ = std::move(tree);
-  sums_.assign(tree_.node_count(), 0.0);
+  size_records(records_, tree_);
   total_sum_ = 0.0;
   if (config_.track_binary_depth) {
     rebuild_binary_depths();
@@ -241,82 +273,82 @@ IncrementalRctState::IncrementalRctState(const TdrmParams& params, double phi)
   require(params_.mu > 0.0, "IncrementalRctState: mu must be > 0");
   require(params_.a > 0.0 && params_.a < 1.0,
           "IncrementalRctState: a must be in (0, 1)");
-  n_.push_back(0);
-  d_.push_back(0.0);
-  h_.push_back(0.0);
-  agg_.push_back(0.0);
-  w_.push_back(0.0);
-  p_.push_back(0.0);
+  records_.emplace_back();
 }
 
 IncrementalRctState::IncrementalRctState(const TdrmParams& params, double phi,
                                          const Tree& initial)
     : IncrementalRctState(params, phi) {
   tree_ = initial;
-  const std::size_t n = tree_.node_count();
-  n_.assign(n, 0);
-  d_.assign(n, 0.0);
-  h_.assign(n, 0.0);
-  agg_.assign(n, 0.0);
-  w_.assign(n, 0.0);
-  p_.assign(n, 0.0);
+  size_records(records_, tree_);
   // Children before parents, so D(u) is complete when CH_u is built.
   for (NodeId u : tree_.postorder()) {
     for (NodeId child : tree_.children(u)) {
-      d_[u] += params_.a * h_[child];
+      records_[u].d += params_.a * records_[child].h;
     }
     if (u != kRoot) {
       rebuild_chain(u);
-      total_agg_ += agg_[u];
+      total_agg_ += records_[u].agg;
     }
   }
 }
 
-void IncrementalRctState::rebuild_chain(NodeId u) {
-  const double c = tree_.contribution(u);
+void IncrementalRctState::set_chain_shape(ChainRecord& record,
+                                          double c) const {
+  // W = sum c_i a^{N-i} tail-up, leaving pw = a^{N-1} = P.
   const double mu = params_.mu;
-  const double a = params_.a;
   const std::size_t len = rct_chain_length(c, mu);
   const double head_c = c - static_cast<double>(len - 1) * mu;
-  if (chain_.size() < len) {
-    chain_.resize(len);
-  }
-
-  // S bottom-up; the tail is the only chain node fed by the children.
-  double s = ((len == 1) ? head_c : mu) + d_[u];
-  chain_[len - 1] = s;
-  for (std::size_t i = len - 1; i-- > 0;) {
-    const double ci = (i == 0) ? head_c : mu;
-    s = ci + a * s;
-    chain_[i] = s;
-  }
-  h_[u] = s;
-
-  // A = sum c_i S_i (head first); W = sum c_i a^{N-i} tail-up, leaving
-  // pw = a^{N-1} = P.
-  double aggregate = 0.0;
-  for (std::size_t i = 0; i < len; ++i) {
-    const double ci = (i == 0) ? head_c : mu;
-    aggregate += ci * chain_[i];
-  }
   double weight = 0.0;
   double pw = 1.0;
   for (std::size_t i = len; i-- > 0;) {
     const double ci = (i == 0) ? head_c : mu;
     weight += ci * pw;
     if (i > 0) {
-      pw *= a;
+      pw *= params_.a;
     }
   }
-  n_[u] = static_cast<std::uint32_t>(len);
-  agg_[u] = aggregate;
-  w_[u] = weight;
-  p_[u] = pw;
+  record.n = static_cast<std::uint32_t>(len);
+  record.w = weight;
+  record.p = pw;
+}
+
+void IncrementalRctState::rebuild_chain(NodeId u) {
+  ChainRecord& record = records_[u];
+  const double c = tree_.contribution(u);
+  const double mu = params_.mu;
+  const double a = params_.a;
+  // N/W/P first: they do not depend on D, and N sizes the S pass.
+  set_chain_shape(record, c);
+  const std::size_t len = record.n;
+  const double head_c = c - static_cast<double>(len - 1) * mu;
+  if (chain_.size() < len) {
+    chain_.resize(len);
+  }
+
+  // S bottom-up; the tail is the only chain node fed by the children.
+  double s = ((len == 1) ? head_c : mu) + record.d;
+  chain_[len - 1] = s;
+  for (std::size_t i = len - 1; i-- > 0;) {
+    const double ci = (i == 0) ? head_c : mu;
+    s = ci + a * s;
+    chain_[i] = s;
+  }
+  record.h = s;
+
+  // A = sum c_i S_i (head first).
+  double aggregate = 0.0;
+  for (std::size_t i = 0; i < len; ++i) {
+    const double ci = (i == 0) ? head_c : mu;
+    aggregate += ci * chain_[i];
+  }
+  record.agg = aggregate;
 }
 
 void IncrementalRctState::bubble_up(NodeId w, double dd) {
   while (true) {
-    d_[w] += dd;
+    ChainRecord& record = records_[w];
+    record.d += dd;
     // Underflow early exit, same argument as the subtree engine's:
     // contributions >= 0, mu > 0 and a in (0, 1) keep every chain
     // scalar (W, P, H, D, A) non-negative, so dd >= 0 throughout the
@@ -328,13 +360,13 @@ void IncrementalRctState::bubble_up(NodeId w, double dd) {
     if (w == kRoot || dd == 0.0) {
       break;
     }
-    const double da = w_[w] * dd;
-    agg_[w] += da;
+    const double da = record.w * dd;
+    record.agg += da;
     total_agg_ += da;
-    const double dh = p_[w] * dd;
-    h_[w] += dh;
+    const double dh = record.p * dd;
+    record.h += dh;
     dd = params_.a * dh;
-    w = tree_.parent(w);
+    w = record.parent;
   }
 }
 
@@ -353,23 +385,19 @@ void IncrementalRctState::flush_batch() {
 
 NodeId IncrementalRctState::add_leaf(NodeId parent, double contribution) {
   const NodeId leaf = tree_.add_node(parent, contribution);
-  n_.push_back(0);
-  d_.push_back(0.0);
-  h_.push_back(0.0);
-  agg_.push_back(0.0);
-  w_.push_back(0.0);
-  p_.push_back(0.0);
+  records_.push_back({.parent = parent});
   // The leaf's own chain reads nothing upstream (D(leaf) = 0), so it is
   // built immediately even in batch mode — only the ancestor walk and
   // the total add defer, with dd and A(leaf) captured now. Earlier
   // pending walks cannot touch a node that did not exist yet, so the
   // captured values equal what per-event processing would have used.
   rebuild_chain(leaf);
+  const ChainRecord& record = records_[leaf];
   if (batching_) {
-    pending_.push_back({parent, params_.a * h_[leaf], agg_[leaf]});
+    pending_.push_back({parent, params_.a * record.h, record.agg});
   } else {
-    total_agg_ += agg_[leaf];
-    bubble_up(parent, params_.a * h_[leaf]);
+    total_agg_ += record.agg;
+    bubble_up(parent, params_.a * record.h);
   }
   return leaf;
 }
@@ -387,15 +415,16 @@ void IncrementalRctState::add_contribution(NodeId u, double delta) {
     apply_pending();
   }
   tree_.set_contribution(u, tree_.contribution(u) + delta);
-  const double old_h = h_[u];
-  const double old_agg = agg_[u];
+  const ChainRecord& record = records_[u];
+  const double old_h = record.h;
+  const double old_agg = record.agg;
   rebuild_chain(u);
-  total_agg_ += agg_[u] - old_agg;
+  total_agg_ += record.agg - old_agg;
   // The parent's D tracks a*H(u); form the delta from the two products
   // so a no-op rebuild (delta small enough to leave H unchanged)
   // bubbles an exact zero.
-  const double dd = params_.a * h_[u] - params_.a * old_h;
-  bubble_up(tree_.parent(u), dd);
+  const double dd = params_.a * record.h - params_.a * old_h;
+  bubble_up(record.parent, dd);
 }
 
 double IncrementalRctState::reward(NodeId u) const {
@@ -404,7 +433,7 @@ double IncrementalRctState::reward(NodeId u) const {
   require(pending_.empty(),
           "IncrementalRctState: pending batched walks; flush_batch() "
           "before querying");
-  return scale_ * agg_[u] + phi_ * tree_.contribution(u);
+  return scale_ * records_[u].agg + phi_ * tree_.contribution(u);
 }
 
 double IncrementalRctState::total_reward() const {
@@ -415,16 +444,16 @@ double IncrementalRctState::total_reward() const {
 }
 
 double IncrementalRctState::chain_aggregate(NodeId u) const {
-  require(u < agg_.size(), "IncrementalRctState::chain_aggregate");
+  require(u < records_.size(), "IncrementalRctState::chain_aggregate");
   require(pending_.empty(),
           "IncrementalRctState: pending batched walks; flush_batch() "
           "before querying");
-  return agg_[u];
+  return records_[u].agg;
 }
 
 std::size_t IncrementalRctState::chain_length(NodeId u) const {
-  require(u < n_.size(), "IncrementalRctState::chain_length");
-  return n_[u];
+  require(u < records_.size(), "IncrementalRctState::chain_length");
+  return records_[u].n;
 }
 
 std::vector<double> IncrementalRctState::export_aggregates() const {
@@ -432,12 +461,14 @@ std::vector<double> IncrementalRctState::export_aggregates() const {
           "IncrementalRctState: pending batched walks; flush_batch() "
           "before exporting");
   const std::size_t n = tree_.node_count();
-  std::vector<double> blob;
-  blob.reserve(3 * n + 1);
-  blob.insert(blob.end(), d_.begin(), d_.end());
-  blob.insert(blob.end(), h_.begin(), h_.end());
-  blob.insert(blob.end(), agg_.begin(), agg_.end());
-  blob.push_back(total_agg_);
+  std::vector<double> blob(3 * n + 1);
+  for (std::size_t u = 0; u < n; ++u) {
+    const ChainRecord& record = records_[u];
+    blob[u] = record.d;
+    blob[n + u] = record.h;
+    blob[2 * n + u] = record.agg;
+  }
+  blob[3 * n] = total_agg_;
   return blob;
 }
 
@@ -445,47 +476,26 @@ void IncrementalRctState::import_aggregates(const std::vector<double>& blob) {
   const std::size_t n = tree_.node_count();
   require(blob.size() == 3 * n + 1,
           "IncrementalRctState::import_aggregates: blob size mismatch");
-  d_.assign(blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(n));
-  h_.assign(blob.begin() + static_cast<std::ptrdiff_t>(n),
-            blob.begin() + static_cast<std::ptrdiff_t>(2 * n));
-  agg_.assign(blob.begin() + static_cast<std::ptrdiff_t>(2 * n),
-              blob.begin() + static_cast<std::ptrdiff_t>(3 * n));
-  total_agg_ = blob.back();
   // N, W, P are pure functions of the contributions — recompute them
   // (exactly) instead of trusting the blob or a rebuild of the
-  // history-dependent accumulators above.
-  const double a = params_.a;
-  const double mu = params_.mu;
-  for (NodeId u = 1; u < n; ++u) {
-    const double c = tree_.contribution(u);
-    const std::size_t len = rct_chain_length(c, mu);
-    const double head_c = c - static_cast<double>(len - 1) * mu;
-    double weight = 0.0;
-    double pw = 1.0;
-    for (std::size_t i = len; i-- > 0;) {
-      const double ci = (i == 0) ? head_c : mu;
-      weight += ci * pw;
-      if (i > 0) {
-        pw *= a;
-      }
+  // history-dependent accumulators D, H, A.
+  for (NodeId u = 0; u < n; ++u) {
+    ChainRecord& record = records_[u];
+    record.d = blob[u];
+    record.h = blob[n + u];
+    record.agg = blob[2 * n + u];
+    if (u != kRoot) {
+      set_chain_shape(record, tree_.contribution(u));
     }
-    n_[u] = static_cast<std::uint32_t>(len);
-    w_[u] = weight;
-    p_[u] = pw;
   }
+  total_agg_ = blob.back();
 }
 
 void IncrementalRctState::adopt_tree(Tree&& tree) {
   require(tree_.node_count() == 1 && pending_.empty(),
           "IncrementalRctState::adopt_tree: state already has nodes");
   tree_ = std::move(tree);
-  const std::size_t n = tree_.node_count();
-  n_.assign(n, 0);
-  d_.assign(n, 0.0);
-  h_.assign(n, 0.0);
-  agg_.assign(n, 0.0);
-  w_.assign(n, 0.0);
-  p_.assign(n, 0.0);
+  size_records(records_, tree_);
   total_agg_ = 0.0;
 }
 

@@ -19,6 +19,13 @@
 //     aggregates on the *virtual* Reward Computation Tree, never
 //     materializing it.
 //
+// Walk layout: each engine keeps its per-node walk state in one record
+// that also holds the node's parent id (SumRecord, 16 B; ChainRecord,
+// 48 B), so an ancestor step reads and writes one record — about one
+// cache line — instead of one line per scalar column plus the tree's
+// parent column. The export/import blobs keep their per-field layouts
+// (gathered and scattered at the boundary).
+//
 // Dirty-ancestor batching: both states support begin_batch() /
 // flush_batch(). In batch mode the FP ancestor walks of a burst of
 // events are deferred and replayed — in exact arrival order — by
@@ -135,6 +142,13 @@ class IncrementalSubtreeState {
     double delta;
   };
 
+  /// A node's walk state: S(u) and the parent it bubbles into.
+  struct SumRecord {
+    double sum = 0.0;  ///< S(u)
+    NodeId parent = kInvalidNode;
+  };
+  static_assert(sizeof(SumRecord) == 16);
+
   /// Adds `delta` at `from` and decay-scaled along the root path,
   /// accumulating the participant total.
   void bubble_up(NodeId from, double delta);
@@ -149,8 +163,8 @@ class IncrementalSubtreeState {
 
   Config config_;
   Tree tree_;
-  std::vector<double> sums_;  ///< S per node
-  double total_sum_ = 0.0;    ///< sum of S over participants
+  std::vector<SumRecord> records_;  ///< one per node, indexed by id
+  double total_sum_ = 0.0;          ///< sum of S over participants
   // Binary-depth maintenance (track_binary_depth only): BD plus the
   // top-two child BDs per node, so a child's change updates the parent
   // in O(1) and propagation stops as soon as BD is unchanged.
@@ -262,6 +276,23 @@ class IncrementalRctState {
     double total_add;  ///< A(leaf), owed to total_agg_
   };
 
+  /// A node's walk state: its chain scalars and the parent its head
+  /// feeds, so bubble_up touches one record per ancestor.
+  struct ChainRecord {
+    double d = 0.0;    ///< children input D(u)
+    double h = 0.0;    ///< head sum H(u)
+    double agg = 0.0;  ///< chain aggregate A(u)
+    double w = 0.0;    ///< dA/dD
+    double p = 0.0;    ///< dH/dD
+    NodeId parent = kInvalidNode;
+    std::uint32_t n = 0;  ///< chain length N_u
+  };
+  static_assert(sizeof(ChainRecord) == 48);
+
+  /// Sets N/W/P of a chain carrying contribution c — a pure function
+  /// of c, so a restore recomputes it exactly. O(N_u).
+  void set_chain_shape(ChainRecord& record, double c) const;
+
   /// Recomputes N/H/A/W/P for u's chain from C(u) and D(u). O(N_u).
   /// The caller owns the total_agg_ adjustment.
   void rebuild_chain(NodeId u);
@@ -277,14 +308,9 @@ class IncrementalRctState {
   double phi_;
   double scale_;  // lambda/mu * b
   Tree tree_;
-  std::vector<std::uint32_t> n_;  // chain length N_u
-  std::vector<double> d_;         // children input D(u)
-  std::vector<double> h_;         // head sum H(u)
-  std::vector<double> agg_;       // chain aggregate A(u)
-  std::vector<double> w_;         // dA/dD
-  std::vector<double> p_;         // dH/dD
-  std::vector<double> chain_;     // scratch: per-level S during rebuild
-  double total_agg_ = 0.0;        // sum of A(u) over participants
+  std::vector<ChainRecord> records_;  // one per node, indexed by id
+  std::vector<double> chain_;  // scratch: per-level S during rebuild
+  double total_agg_ = 0.0;     // sum of A(u) over participants
   bool batching_ = false;
   std::vector<PendingWalk> pending_;
 };

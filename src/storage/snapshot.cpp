@@ -51,6 +51,9 @@ constexpr std::uint64_t align_up(std::uint64_t v) {
 void write_u32_section(std::string& out, std::size_t offset,
                        std::span<const NodeId> values) {
   static_assert(sizeof(NodeId) == 4);
+  if (values.empty()) {
+    return;  // an empty span may carry data() == nullptr
+  }
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(out.data() + offset, values.data(), values.size() * 4);
   } else {
@@ -65,6 +68,9 @@ void write_u32_section(std::string& out, std::size_t offset,
 
 void write_f64_section(std::string& out, std::size_t offset,
                        std::span<const double> values) {
+  if (values.empty()) {
+    return;
+  }
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(out.data() + offset, values.data(), values.size() * 8);
   } else {
@@ -79,6 +85,9 @@ void write_f64_section(std::string& out, std::size_t offset,
 }
 
 void read_u32_section(std::string_view src, NodeId* dst, std::size_t count) {
+  if (count == 0) {
+    return;  // dst may be the null data() of an empty vector
+  }
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(dst, src.data(), count * 4);
   } else {
@@ -94,6 +103,9 @@ void read_u32_section(std::string_view src, NodeId* dst, std::size_t count) {
 }
 
 void read_f64_section(std::string_view src, double* dst, std::size_t count) {
+  if (count == 0) {
+    return;
+  }
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(dst, src.data(), count * 8);
   } else {

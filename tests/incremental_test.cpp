@@ -3,6 +3,10 @@
 // the bit-exactness contract of dirty-set batching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "core/geometric.h"
 #include "core/incremental.h"
 #include "tree/generators.h"
@@ -298,6 +302,121 @@ TEST(IncrementalBatching, RctQueriesRequireAFlush) {
   EXPECT_THROW(state.total_reward(), std::invalid_argument);
   state.flush_batch();
   EXPECT_NO_THROW(state.reward(a));
+}
+
+// --- adopt-then-grow ----------------------------------------------
+//
+// A restore adopts a checkpointed tree, imports its aggregate blob and
+// keeps ingesting. The suffixes below join several times more nodes than
+// the adopted state holds, so each engine's record array grows past the
+// capacity it was sized to at adopt time; every reading must stay
+// bit-identical to one state that ran the whole history, whether the
+// suffix arrives per event or in batches.
+
+constexpr int kPrefixEvents = 150;
+constexpr int kSuffixBursts = 30;
+constexpr int kBurstEvents = 25;
+
+template <typename State, typename Event>
+void run_suffix(State& state, const Event& event, std::uint64_t seed,
+                bool batched) {
+  Rng rng(seed);
+  for (int burst = 0; burst < kSuffixBursts; ++burst) {
+    if (batched) {
+      state.begin_batch();
+    }
+    for (int e = 0; e < kBurstEvents; ++e) {
+      event(state, rng);
+    }
+    if (batched) {
+      state.flush_batch();
+    }
+  }
+}
+
+TEST(IncrementalAdopt, RctAdoptThenGrowIsBitIdenticalToFullHistory) {
+  const TdrmParams params{};
+  // Joins dominate; purchases reach several mu, so N_u > 1 (multi-node
+  // eps-chains) and rebuild_chain resizes chains mid-stream.
+  auto rct_event = [&params](IncrementalRctState& state, Rng& rng) {
+    const std::size_t count = state.tree().participant_count();
+    if (count == 0 || rng.bernoulli(0.75)) {
+      const NodeId parent =
+          count == 0 || rng.bernoulli(0.05)
+              ? kRoot
+              : static_cast<NodeId>(1 + rng.index(count));
+      state.add_leaf(parent, rng.uniform(0.0, 3.0 * params.mu));
+    } else {
+      state.add_contribution(static_cast<NodeId>(1 + rng.index(count)),
+                             rng.uniform(0.0, 5.0 * params.mu));
+    }
+  };
+  IncrementalRctState full(params, 0.05);
+  Rng prefix_rng(301);
+  for (int e = 0; e < kPrefixEvents; ++e) {
+    rct_event(full, prefix_rng);
+  }
+  const Tree checkpoint = full.tree();
+  const std::vector<double> blob = full.export_aggregates();
+  run_suffix(full, rct_event, 302, false);
+  ASSERT_GT(full.tree().node_count(), 3 * checkpoint.node_count());
+
+  std::size_t max_chain = 0;
+  for (NodeId u = 1; u < full.tree().node_count(); ++u) {
+    max_chain = std::max(max_chain, full.chain_length(u));
+  }
+  ASSERT_GT(max_chain, 3u);
+
+  for (const bool batched : {false, true}) {
+    IncrementalRctState adopted(params, 0.05);
+    adopted.adopt_tree(Tree(checkpoint));
+    adopted.import_aggregates(blob);
+    run_suffix(adopted, rct_event, 302, batched);
+    ASSERT_EQ(adopted.tree().node_count(), full.tree().node_count());
+    ASSERT_EQ(hex_doubles(adopted.export_aggregates()),
+              hex_doubles(full.export_aggregates()))
+        << "batched " << batched;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(adopted.total_reward()),
+              std::bit_cast<std::uint64_t>(full.total_reward()));
+    for (NodeId u = 1; u < full.tree().node_count(); ++u) {
+      ASSERT_EQ(adopted.chain_length(u), full.chain_length(u)) << u;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(adopted.reward(u)),
+                std::bit_cast<std::uint64_t>(full.reward(u)))
+          << "node " << u << " batched " << batched;
+    }
+  }
+}
+
+TEST(IncrementalAdopt, SubtreeAdoptThenGrowIsBitIdenticalToFullHistory) {
+  const IncrementalSubtreeState::Config config{.decay = 0.6,
+                                               .track_binary_depth = true};
+  IncrementalSubtreeState full(config);
+  Rng prefix_rng(311);
+  for (int e = 0; e < kPrefixEvents; ++e) {
+    random_event(full, prefix_rng);
+  }
+  const Tree checkpoint = full.tree();
+  const std::vector<double> blob = full.export_aggregates();
+  run_suffix(full, random_event, 312, false);
+  ASSERT_GT(full.tree().node_count(), 3 * checkpoint.node_count());
+
+  for (const bool batched : {false, true}) {
+    IncrementalSubtreeState adopted(config);
+    adopted.adopt_tree(Tree(checkpoint));
+    adopted.import_aggregates(blob);
+    run_suffix(adopted, random_event, 312, batched);
+    ASSERT_EQ(adopted.tree().node_count(), full.tree().node_count());
+    ASSERT_EQ(aggregate_bits(adopted), aggregate_bits(full))
+        << "batched " << batched;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(adopted.total_aggregate()),
+              std::bit_cast<std::uint64_t>(full.total_aggregate()));
+    for (NodeId u = 1; u < full.tree().node_count(); ++u) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(adopted.subtree_aggregate(u)),
+                std::bit_cast<std::uint64_t>(full.subtree_aggregate(u)))
+          << "node " << u << " batched " << batched;
+      ASSERT_EQ(adopted.binary_depth(u), full.binary_depth(u)) << u;
+    }
+  }
 }
 
 }  // namespace
